@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from ..circuit.generators import random_dag, random_tree
 from ..circuit.netlist import Circuit
-from ..core.dp import quantized_tree_check, solve_tree
+from ..core.dp import quantized_tree_checker, solve_tree
 from ..core.exhaustive import solve_exhaustive
 from ..core.incremental import IncrementalEvaluator
 from ..core.problem import TestPoint, TPIProblem
@@ -401,7 +401,7 @@ def _check_dp_vs_exhaustive(
         # is skipped rather than blowing the deadline.
         exhaustive = solve_exhaustive(
             problem,
-            feasibility=lambda pts: quantized_tree_check(problem, pts),
+            feasibility=quantized_tree_checker(problem),
             max_subset_size=_DP_MAX_SUBSET,
             budget=Budget(wall_ms=budget_ms),
         )
@@ -649,7 +649,7 @@ def _check_store(
         bench = Path(tmp) / "circuit.bench"
         write_bench_file(circuit, bench)
         config = {
-            "schema": "sweep-job/1",
+            "schema": "sweep-job/2",
             "n_patterns": int(n_patterns),
             "escape_budget": 0.05,
             "budget": None,

@@ -18,7 +18,7 @@ Public surface:
 """
 
 from .cascade import DEFAULT_CASCADE, SOLVER_CASCADE, solve_with_fallback
-from .dp import DPSolver, quantized_tree_check, solve_tree
+from .dp import DPSolver, quantized_tree_check, quantized_tree_checker, solve_tree
 from .evaluate import CoverageReport, evaluate_solution, measure_coverage
 from .exhaustive import solve_exhaustive
 from .greedy import solve_greedy
@@ -79,6 +79,7 @@ __all__ = [
     "DPSolver",
     "solve_tree",
     "quantized_tree_check",
+    "quantized_tree_checker",
     "solve_dp_heuristic",
     "solve_greedy",
     "solve_random",

@@ -6,7 +6,7 @@ optimality oracle the DP is validated against (experiment T2).  Complexity
 is exponential; keep instances below ~15 candidate sites.
 
 The feasibility predicate is pluggable: pass
-:func:`repro.core.dp.quantized_tree_check` (partially applied) to score
+:func:`repro.core.dp.quantized_tree_checker` (built once per problem) to score
 with the DP's quantized algebra, or leave the default continuous COP
 evaluator for model-level optimality.
 """

@@ -269,7 +269,7 @@ def _replay_solver(manifest, circuit) -> ReplayResult:
 
 
 def _replay_dp_vs_exhaustive(manifest, circuit) -> tuple:
-    from ..core.dp import quantized_tree_check, solve_tree
+    from ..core.dp import quantized_tree_checker, solve_tree
     from ..core.exhaustive import solve_exhaustive
 
     context = manifest["context"]
@@ -277,7 +277,7 @@ def _replay_dp_vs_exhaustive(manifest, circuit) -> tuple:
     dp = solve_tree(problem)
     exhaustive = solve_exhaustive(
         problem,
-        feasibility=lambda pts: quantized_tree_check(problem, pts),
+        feasibility=quantized_tree_checker(problem),
         max_subset_size=int(context.get("max_subset_size", 4)),
     )
     fast = {"cost": dp.cost, "feasible": dp.feasible}

@@ -225,6 +225,54 @@ class TestStoreCli:
         assert report["kept"] == 0
 
 
+class TestStoreAcrossDirectories:
+    def test_verified_hits_from_another_directory(
+        self, tmp_path, bench_paths, capsys
+    ):
+        """Identical netlists swept from a second directory hit the store.
+
+        A store entry must not carry the path it was computed from: with
+        every hit re-executed (``--store-verify 1.0``) from the second
+        directory, the cached result must equal the recomputed one, and
+        the sweep report must be the one a store-less sweep prints.
+        """
+        store = tmp_path / "store"
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for path in bench_paths:
+            (copy / path.name).write_bytes(path.read_bytes())
+
+        def sweep(directory, journal, *store_args):
+            capsys.readouterr()
+            code = main(
+                [
+                    "sweep",
+                    str(directory),
+                    "--results",
+                    str(tmp_path / journal),
+                    "--patterns",
+                    "64",
+                    "--fabric",
+                    "--workers",
+                    "1",
+                    *store_args,
+                ]
+            )
+            return code, capsys.readouterr().out
+
+        verified = ("--store", str(store), "--store-verify", "1.0")
+        assert sweep(bench_paths[0].parent, "a.journal", *verified)[0] == EXIT_OK
+        code, out = sweep(copy, "b.journal", *verified)
+        assert code == EXIT_OK
+        assert (EXIT_OK, out) == sweep(copy, "c.journal")
+        argv = ["fabric-status", str(tmp_path / "b.journal"), "--store", str(store)]
+        assert main(argv + ["--json"]) == EXIT_OK
+        status = json.loads(capsys.readouterr().out)
+        # The second sweep was served (and re-verified) from the store.
+        assert status["store"]["hits"] == len(bench_paths)
+        assert status["store"]["publishes"] == len(bench_paths)
+
+
 class TestPackCli:
     def test_build_verify_and_tamper(
         self, tmp_path, store_campaign, capsys
