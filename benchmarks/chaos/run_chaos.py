@@ -1,14 +1,15 @@
 #!/usr/bin/env python
 """Seeded fabric chaos campaign: injected mayhem, bit-identical results.
 
-Runs the same sweep twice — once serially (ground truth), then
-repeatedly on the fabric under a probabilistic mix of every injected
-fault (worker crashes, stalled heartbeats, corrupt payloads, spurious
-exceptions, ENOSPC on journal appends, duplicate completions) — until a
-wall-clock budget runs out.  After every round it asserts the fabric's
+Solves every circuit once directly — no supervisor, journal or dedup
+(the serial ground truth) — then runs the same sweep repeatedly on the
+fabric under a probabilistic mix of every injected fault (worker
+crashes, stalled heartbeats, corrupt payloads, spurious exceptions,
+ENOSPC on journal appends, duplicate completions) until a wall-clock
+budget runs out.  After every round it asserts the fabric's
 acceptance bar:
 
-* the outcome list is **bit-identical** to the serial sweep's, and
+* the outcome list is **bit-identical** to the serial ground truth, and
 * every job is committed **exactly once** across the journal's whole
   history.
 
@@ -43,10 +44,11 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.analysis.experiments import run_circuit_sweep
+from repro.analysis.experiments import _sweep_one, run_circuit_sweep
 from repro.circuit import generators, write_bench_file
 from repro.fabric import quarantine_dir_for
-from repro.resilience.chaos import FabricChaosSpec
+from repro.core.cascade import DEFAULT_CASCADE
+from repro.resilience.chaos import ChaosSpec
 
 N_CIRCUITS = 14
 N_PATTERNS = 128
@@ -133,13 +135,17 @@ def main(argv=None) -> int:
     )
 
     serial = [
-        asdict(o)
-        for o in run_circuit_sweep(
-            paths,
-            out_dir / "serial.jsonl",
-            n_patterns=N_PATTERNS,
-            measure_coverage=True,
+        asdict(
+            _sweep_one(
+                path,
+                N_PATTERNS,
+                0.001,
+                None,
+                DEFAULT_CASCADE,
+                measure_coverage=True,
+            )
         )
+        for path in paths
     ]
     print(f"serial baseline: {len(serial)} circuits", flush=True)
 
@@ -148,7 +154,7 @@ def main(argv=None) -> int:
     failures = []
     while time.monotonic() < deadline and rounds < args.max_rounds:
         rounds += 1
-        chaos = FabricChaosSpec(
+        chaos = ChaosSpec(
             seed=args.seed * 100_003 + rounds,
             stall_seconds=3.0,
             **mix,
@@ -161,7 +167,6 @@ def main(argv=None) -> int:
                 journal,
                 n_patterns=N_PATTERNS,
                 measure_coverage=True,
-                fabric=True,
                 workers=args.workers,
                 lease_timeout_s=1.0,
                 chaos=chaos,
@@ -219,8 +224,7 @@ def main(argv=None) -> int:
                     out_dir / "final-verify.journal",
                     n_patterns=N_PATTERNS,
                     measure_coverage=True,
-                    fabric=True,
-                    workers=args.workers,
+                        workers=args.workers,
                     lease_timeout_s=1.0,
                     store=store_dir,
                     store_verify_fraction=0.0,

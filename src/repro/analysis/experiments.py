@@ -7,24 +7,32 @@ same logic is importable from notebooks and examples.
 
 Long runs are expected to hit bad inputs and budget exhaustion (general
 TPI is NP-complete), so the module also hosts the *hardened* drivers
-(DESIGN.md §8): :func:`run_circuit_sweep` isolates per-circuit crashes and
-checkpoints every outcome to a JSONL results file so a killed sweep
-resumes where it stopped, and :func:`run_experiments_checkpointed` does
-the same at experiment granularity.
+(DESIGN.md §8, §13): :func:`run_circuit_sweep` runs one fabric job per
+circuit, isolating per-circuit crashes and committing every outcome to
+a fabric journal so a killed sweep resumes where it stopped, and
+:func:`run_experiments_checkpointed` does the same at experiment
+granularity.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .. import obs
 from ..circuit.analysis import has_reconvergent_fanout, is_fanout_free
-from ..ioutil import atomic_write_text, read_jsonl_tolerant
+from ..ioutil import read_jsonl_tolerant
 from ..circuit.bench_io import parse_bench_file
 from ..circuit.generators import random_tree
 from ..circuit.library import benchmark, benchmark_names
@@ -46,6 +54,9 @@ from ..resilience import Budget
 from ..sim.faults import all_stuck_at_faults, collapse_faults
 from ..sim.patterns import UniformRandomSource
 from .tables import Table
+
+if TYPE_CHECKING:
+    from ..fabric.journal import ResultJournal
 
 __all__ = [
     "ExperimentResult",
@@ -664,7 +675,7 @@ def run_e5_weighted_random(
 
 
 # ---------------------------------------------------------------------------
-# Hardened drivers: crash-isolated, checkpointed, resumable (DESIGN.md §8)
+# Hardened runners: crash-isolated, journaled, resumable (DESIGN.md §8, §13)
 # ---------------------------------------------------------------------------
 @dataclass
 class SweepOutcome:
@@ -687,17 +698,12 @@ class SweepOutcome:
     error_type: Optional[str] = None
     error: Optional[str] = None
     # Measured-coverage extras (``measure_coverage=True`` sweeps only).
-    # Defaults keep checkpoints from older sweeps loadable as-is.
     baseline_coverage: Optional[float] = None
     modified_coverage: Optional[float] = None
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-    def to_json(self) -> str:
-        """One checkpoint line (stable key order)."""
-        return json.dumps(asdict(self), sort_keys=True)
 
     def describe(self) -> str:
         """One human-readable sweep-progress line."""
@@ -794,9 +800,8 @@ def _sweep_one(
 # take/return plain JSON-able data: they are dispatched by kind inside
 # worker processes (repro.fabric.worker) and their results land verbatim
 # in the fabric's journal.  Domain failures (parse errors, budget
-# exhaustion, experiment crashes) are *results* here, exactly as in the
-# serial drivers; only an exception escaping the executor is a fabric
-# failure that triggers retry/quarantine.
+# exhaustion, experiment crashes) are *results* here; only an exception
+# escaping the executor is a fabric failure that triggers retry/quarantine.
 # ---------------------------------------------------------------------------
 def _budget_spec(budget: Optional[Budget]) -> Optional[Dict[str, object]]:
     """JSON-able budget limits (clocks restart on reconstruction)."""
@@ -834,7 +839,7 @@ def execute_sweep_job(payload: Dict[str, object]) -> dict:
     )
     # The result is shared by every path with this content (and cached in
     # the store across directories), so it carries no path:
-    # ``_run_sweep_fabric`` rehydrates ``circuit``/``path`` per file.
+    # ``run_circuit_sweep`` rehydrates ``circuit``/``path`` per file.
     result = asdict(outcome)
     del result["circuit"], result["path"]
     return result
@@ -888,58 +893,40 @@ def _sweep_content_key(path: Path) -> str:
             return "path:" + str(path)
 
 
-def _quarantine_checkpoint_lines(
-    path: Path,
-    lines: Sequence[str],
-    reason: str,
-    survivors: Optional[Sequence[str]] = None,
-) -> Path:
-    """Move unusable checkpoint lines to a ``.bad`` sidecar, loudly.
+def _open_journal(results_path: Path) -> ResultJournal:
+    """Open a campaign's ``--results`` file as its fabric journal.
 
-    The lines are preserved verbatim in the sidecar (appended — corruption
-    is evidence, not garbage).  When ``survivors`` is given the checkpoint
-    itself is atomically rewritten to just those lines, so the bad lines
-    are *moved*, not copied, and the next resume is clean.
+    A file with decodable records of which none is a journal record (a
+    checkpoint from an older version, a trace) belongs to something
+    else: appending commits after its lines would mix two formats in one
+    file.  It is refused before anything is written to it.
     """
-    sidecar = path.with_name(path.name + ".bad")
-    with sidecar.open("a", encoding="utf-8") as sink:
-        for line in lines:
-            sink.write(line + "\n")
-    if survivors is not None:
-        atomic_write_text(
-            path, "".join(line + "\n" for line in survivors)
-        )
-    warnings.warn(
-        f"quarantined {len(lines)} corrupt checkpoint line(s) from "
-        f"{path} to {sidecar} ({reason}); resuming with the rest",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    obs.event(
-        "sweep_checkpoint_quarantined",
-        path=str(path),
-        sidecar=str(sidecar),
-        n_lines=len(lines),
-        reason=reason,
-    )
-    obs.count("sweep.quarantined_lines", len(lines))
-    return sidecar
+    from ..fabric import ResultJournal
+    from ..fabric.journal import JOURNAL_SCHEMA
+
+    if results_path.exists():
+        records, _good, _bad = read_jsonl_tolerant(results_path)
+        if records and not any(
+            r.get("schema") == JOURNAL_SCHEMA for r in records
+        ):
+            raise ExperimentError(
+                f"{results_path} is not a fabric journal ({len(records)} "
+                f"record(s), none of them a journal record); give a new "
+                f"results file"
+            )
+    return ResultJournal(results_path)
 
 
-def _read_checkpoint_lines(path: Path) -> List[dict]:
-    """Parse a JSONL checkpoint, quarantining unparseable lines.
-
-    A killed run tears at most the final line, but a corrupted disk or a
-    concurrent writer can mangle any of them; every line that fails to
-    decode (or decodes to a non-object) is moved to the ``.bad`` sidecar
-    via :func:`_quarantine_checkpoint_lines` and the rest are returned.
-    """
-    records, good, bad = read_jsonl_tolerant(path)
-    if bad:
-        _quarantine_checkpoint_lines(
-            path, bad, "undecodable JSONL", survivors=good
-        )
-    return records
+def _last_error(journal: ResultJournal, job_id: str) -> Dict[str, object]:
+    """A quarantined job's last recorded fabric error as outcome fields."""
+    record = journal.quarantined.get(job_id) or {}
+    errors = record.get("errors") or []
+    last = errors[-1] if errors else {}
+    return {
+        "status": "quarantined",
+        "error_type": last.get("type"),
+        "error": last.get("message"),
+    }
 
 
 def run_circuit_sweep(
@@ -950,11 +937,9 @@ def run_circuit_sweep(
     escape_budget: float = 0.001,
     budget: Optional[Budget] = None,
     solvers: Sequence[str] = DEFAULT_CASCADE,
-    resume: bool = True,
     max_circuits: Optional[int] = None,
     measure_coverage: bool = False,
     jobs: int = 1,
-    fabric: bool = False,
     workers: int = 1,
     lease_timeout_s: float = 30.0,
     chaos=None,
@@ -964,196 +949,69 @@ def run_circuit_sweep(
 ) -> List[SweepOutcome]:
     """Plan test points for every circuit file, surviving bad apples.
 
-    Each circuit runs in isolation: a parse error, budget exhaustion or
-    crash is recorded as a failed :class:`SweepOutcome` and the sweep moves
-    on.  Every outcome is appended (and flushed) to ``results_path`` as one
-    JSONL line *before* the next circuit starts, so a killed run loses at
-    most the circuit in flight; with ``resume=True`` (default) a rerun
-    skips circuits already recorded there.
+    The sweep runs as a fabric campaign
+    (:class:`~repro.fabric.FabricSupervisor`, DESIGN.md §13).  Each
+    netlist becomes one content-addressed job: structurally identical
+    circuits under the same config collapse to a single job, whose
+    result is rehydrated per requested path.  A parse error, budget
+    exhaustion or crash inside a circuit is recorded as a failed
+    :class:`SweepOutcome`; every result is committed exactly once,
+    fsynced, to the journal at ``results_path`` before the campaign
+    moves on, so a killed sweep loses at most the circuits in flight
+    and a rerun skips everything already committed.
 
     Parameters
     ----------
     paths:
         Netlist files (``.bench`` / ``.v`` / ``.sv``).
     results_path:
-        JSONL checkpoint/results file (created if missing).  In fabric
-        mode this is the fabric *journal* — a different (typed, durable)
-        record format; don't mix serial and fabric runs on one file.
+        The campaign's fabric journal (created if missing).  A file that
+        holds records but no journal record raises
+        :class:`~repro.errors.ExperimentError` and is left untouched.
     budget:
         Per-circuit cooperative budget; each circuit gets a fresh clock
         (:meth:`~repro.resilience.Budget.renewed`).
     solvers:
         Cascade stages for :func:`~repro.core.cascade.solve_with_fallback`.
     max_circuits:
-        Stop after running this many *new* circuits (resume testing knob).
+        Run at most this many circuits not yet in the journal; the rest
+        are left for a later resume.
     measure_coverage:
         Also insert each solution and record measured before/after fault
         coverage (fault-dropping simulation; full detection words are
         never materialized).
     jobs:
         Worker processes for the coverage measurement's fault simulation.
-    fabric:
-        Run the sweep as a supervised fabric campaign
-        (:class:`~repro.fabric.FabricSupervisor`): content-addressed
-        dedup, leased workers, exactly-once journal commits, poison-job
-        quarantine.  Results are bit-identical to the serial path.
-        Fabric campaigns are always resumable (the journal is
-        content-addressed), so ``resume`` is ignored.
     workers:
-        Fabric pool width (``<= 1`` runs the fabric serially in-process).
+        Fabric pool width (1, the default, runs the campaign serially
+        in-process).
     lease_timeout_s:
         Fabric lease liveness window.
     chaos:
-        Optional :class:`~repro.resilience.chaos.FabricChaosSpec` for
-        fault-injection campaigns (fabric mode only).
+        Optional :class:`~repro.resilience.chaos.ChaosSpec` for
+        fault-injection campaigns.
     interrupt:
         Optional :class:`~repro.resilience.interrupt.GracefulInterrupt`;
-        when it reports SIGTERM/SIGINT the sweep stops at the next item
-        boundary (checkpoint already flushed) by raising
+        when it reports SIGTERM/SIGINT the sweep stops at the next job
+        boundary (every commit already durable) by raising
         :class:`~repro.errors.SweepInterrupted`.
     store:
         Optional directory of a cross-campaign
-        :class:`~repro.fabric.store.ResultStore` (fabric mode only).
-        Jobs with a verified store entry commit without recomputation;
-        fresh commits are published back for future campaigns.
+        :class:`~repro.fabric.store.ResultStore`.  Jobs with a verified
+        store entry commit without recomputation; fresh commits are
+        published back for future campaigns.
     store_verify_fraction:
         Seeded fraction of store hits re-executed and compared bit-exact
         (cache-poisoning audit); only meaningful with ``store``.
 
     Returns the outcomes for all circuits in ``paths`` that have run so
-    far, recorded-or-fresh, in ``paths`` order.
+    far, in ``paths`` order.  Quarantined (poison) jobs surface as
+    ``status="quarantined"`` outcomes carrying their last fabric error.
     """
-    results_path = Path(results_path)
-    file_paths = [Path(p) for p in paths]
-    if store is not None and not fabric:
-        raise ValueError(
-            "store= requires fabric=True (the result store is keyed by "
-            "fabric job ids)"
-        )
-    if fabric:
-        return _run_sweep_fabric(
-            file_paths,
-            results_path,
-            n_patterns=n_patterns,
-            escape_budget=escape_budget,
-            budget=budget,
-            solvers=solvers,
-            max_circuits=max_circuits,
-            measure_coverage=measure_coverage,
-            jobs=jobs,
-            workers=workers,
-            lease_timeout_s=lease_timeout_s,
-            chaos=chaos,
-            interrupt=interrupt,
-            store=store,
-            store_verify_fraction=store_verify_fraction,
-        )
-    completed: Dict[str, SweepOutcome] = {}
-    if resume and results_path.exists():
-        mistyped: List[str] = []
-        for record in _read_checkpoint_lines(results_path):
-            try:
-                outcome = SweepOutcome(**record)
-            except TypeError:
-                # Decoded fine but doesn't match the outcome schema (stale
-                # format, foreign writer): quarantine it and rerun that
-                # circuit rather than abort the whole resume.
-                mistyped.append(json.dumps(record, sort_keys=True))
-                continue
-            completed[outcome.path] = outcome
-        if mistyped:
-            _quarantine_checkpoint_lines(
-                results_path,
-                mistyped,
-                "not a SweepOutcome record",
-                survivors=[o.to_json() for o in completed.values()],
-            )
-    if results_path.parent != Path(""):
-        results_path.parent.mkdir(parents=True, exist_ok=True)
-
-    outcomes: List[SweepOutcome] = []
-    ran = 0
-    with obs.span(
-        "sweep", n_circuits=len(file_paths), results=str(results_path)
-    ) as sweep_span:
-        heartbeat = obs.Heartbeat("sweep")
-        with results_path.open("a", encoding="utf-8") as sink:
-            for path in file_paths:
-                heartbeat.beat(
-                    circuits_done=len(outcomes),
-                    circuits_total=len(file_paths),
-                    circuits_ran=ran,
-                )
-                prior = completed.get(str(path))
-                if prior is not None:
-                    obs.count("sweep.skipped")
-                    outcomes.append(prior)
-                    continue
-                if max_circuits is not None and ran >= max_circuits:
-                    break
-                ran += 1
-                with obs.span("sweep.circuit", circuit=path.stem) as sp:
-                    outcome = _sweep_one(
-                        path,
-                        n_patterns,
-                        escape_budget,
-                        budget,
-                        solvers,
-                        measure_coverage=measure_coverage,
-                        jobs=jobs,
-                    )
-                    sp.set(status=outcome.status)
-                sink.write(outcome.to_json() + "\n")
-                sink.flush()
-                obs.count("sweep.circuits")
-                outcomes.append(outcome)
-                if interrupt is not None:
-                    # Item boundary: the outcome above is already durable,
-                    # so stopping here is always resumable.
-                    interrupt.check(
-                        completed=len(outcomes),
-                        remaining=len(file_paths) - len(outcomes),
-                    )
-        sweep_span.set(
-            ran=ran,
-            skipped=len(outcomes) - ran,
-            failures=sum(1 for o in outcomes if not o.ok),
-        )
-    return outcomes
-
-
-def _run_sweep_fabric(
-    file_paths: List[Path],
-    results_path: Path,
-    *,
-    n_patterns: int,
-    escape_budget: float,
-    budget: Optional[Budget],
-    solvers: Sequence[str],
-    max_circuits: Optional[int],
-    measure_coverage: bool,
-    jobs: int,
-    workers: int,
-    lease_timeout_s: float,
-    chaos,
-    interrupt,
-    store: Union[str, Path, None] = None,
-    store_verify_fraction: float = 0.05,
-) -> List[SweepOutcome]:
-    """Sweep as a fabric campaign: dedup, leases, exactly-once commits.
-
-    Each netlist becomes one content-addressed job (structurally
-    identical circuits under the same config collapse to a single job);
-    committed results are rehydrated per requested path, so the returned
-    outcome list is bit-identical to the serial driver's, in ``paths``
-    order.  Quarantined (poison) jobs surface as ``status="quarantined"``
-    outcomes carrying their last fabric error.
-    """
-    from ..fabric import FabricSupervisor, ResultJournal, ResultStore
+    from ..fabric import FabricSupervisor, ResultStore
     from ..fabric.jobs import Job
 
-    if results_path.parent != Path(""):
-        results_path.parent.mkdir(parents=True, exist_ok=True)
+    file_paths = [Path(p) for p in paths]
     # Everything that can change a result belongs in the identity config;
     # ``jobs`` (inner fault-sim parallelism) is excluded on purpose — the
     # parallel simulator is bit-identical to serial, so it must not split
@@ -1166,17 +1024,16 @@ def _run_sweep_fabric(
         "solvers": list(solvers),
         "measure_coverage": bool(measure_coverage),
     }
-    journal = ResultJournal(results_path)
+    journal = _open_journal(Path(results_path))
     try:
         campaign: List[Job] = []
         by_path: Dict[str, str] = {}
         seen: Dict[str, Job] = {}
         fresh = 0
         for path in file_paths:
-            content_key = _sweep_content_key(path)
             job = Job.build(
                 "sweep_circuit",
-                content_key,
+                _sweep_content_key(path),
                 config,
                 payload={
                     "path": str(path),
@@ -1195,11 +1052,11 @@ def _run_sweep_fabric(
                 continue
             if not journal.is_done(job.job_id):
                 if max_circuits is not None and fresh >= max_circuits:
-                    continue  # left for a later resume, like serial
+                    continue  # left for a later resume
                 fresh += 1
             seen[job.job_id] = job
             campaign.append(job)
-        supervisor = FabricSupervisor(
+        results = FabricSupervisor(
             journal,
             workers=workers,
             lease_timeout_s=lease_timeout_s,
@@ -1207,38 +1064,20 @@ def _run_sweep_fabric(
             interrupt=interrupt,
             store=ResultStore(Path(store)) if store is not None else None,
             store_verify_fraction=store_verify_fraction,
-        )
-        results = supervisor.run(campaign)
+        ).run(campaign)
         outcomes: List[SweepOutcome] = []
         for path in file_paths:
             job_id = by_path[str(path)]
-            result = results.get(job_id)
-            if result is not None:
-                # Rehydrate the shared (deduped) result for this path.
-                outcomes.append(
-                    SweepOutcome(
-                        **{
-                            **result,
-                            "circuit": path.stem,
-                            "path": str(path),
-                        }
-                    )
+            if job_id not in results:
+                continue  # capped by max_circuits: not run yet
+            result = results[job_id]
+            # Rehydrate the shared (deduped) result for this path.
+            fields = _last_error(journal, job_id) if result is None else result
+            outcomes.append(
+                SweepOutcome(
+                    **{**fields, "circuit": path.stem, "path": str(path)}
                 )
-                continue
-            record = journal.quarantined.get(job_id)
-            if record is not None:
-                errors = record.get("errors") or []
-                last = errors[-1] if errors else {}
-                outcomes.append(
-                    SweepOutcome(
-                        circuit=path.stem,
-                        path=str(path),
-                        status="quarantined",
-                        error_type=last.get("type"),
-                        error=last.get("message"),
-                    )
-                )
-            # else: capped by max_circuits — not run yet, like serial.
+            )
         return outcomes
     finally:
         journal.close()
@@ -1266,8 +1105,7 @@ def experiment_runners() -> Dict[str, Callable[[], ExperimentResult]]:
 def run_experiments_checkpointed(
     keys: Sequence[str],
     results_path: Union[str, Path],
-    resume: bool = True,
-    fabric: bool = False,
+    *,
     workers: int = 1,
     lease_timeout_s: float = 30.0,
     chaos=None,
@@ -1278,83 +1116,25 @@ def run_experiments_checkpointed(
     """Run experiments with per-experiment crash isolation and resume.
 
     Mirrors :func:`run_circuit_sweep` at experiment granularity: each
-    experiment's rendered table (or failure) is appended to
-    ``results_path`` as one JSONL record as soon as it finishes, and with
-    ``resume=True`` already-recorded experiments are not rerun.  With
-    ``fabric=True`` the campaign runs on the sweep fabric instead
-    (leased workers, exactly-once journal at ``results_path``, poison
-    quarantine); fabric campaigns are always resumable, so ``resume`` is
-    ignored there.  ``interrupt`` stops at the next experiment boundary
-    by raising :class:`~repro.errors.SweepInterrupted`.
+    experiment is one fabric job whose rendered table (or failure) is
+    committed to the journal at ``results_path`` as soon as it finishes;
+    a rerun serves committed experiments from the journal.  Records come
+    back in ``keys`` order; a quarantined experiment surfaces as
+    ``status="quarantined"`` with its last fabric error.  ``interrupt``
+    stops at the next experiment boundary by raising
+    :class:`~repro.errors.SweepInterrupted`.
     """
+    from ..fabric import FabricSupervisor, ResultStore
+    from ..fabric.jobs import Job
+
     runners = experiment_runners()
     unknown = [k for k in keys if k not in runners]
     if unknown:
         raise ExperimentError(
             f"unknown experiments {unknown} (choose from {list(runners)})"
         )
-    results_path = Path(results_path)
-    if store is not None and not fabric:
-        raise ValueError(
-            "store= requires fabric=True (the result store is keyed by "
-            "fabric job ids)"
-        )
-    if fabric:
-        return _run_experiments_fabric(
-            list(keys),
-            results_path,
-            workers=workers,
-            lease_timeout_s=lease_timeout_s,
-            chaos=chaos,
-            interrupt=interrupt,
-            store=store,
-            store_verify_fraction=store_verify_fraction,
-        )
-    done: Dict[str, dict] = {}
-    if resume and results_path.exists():
-        for record in _read_checkpoint_lines(results_path):
-            if "experiment" in record:
-                done[record["experiment"]] = record
-
-    records: List[dict] = []
-    with results_path.open("a", encoding="utf-8") as sink:
-        for key in keys:
-            prior = done.get(key)
-            if prior is not None:
-                obs.count("experiments.skipped")
-                records.append(prior)
-                continue
-            record = execute_experiment_job({"experiment": key})
-            sink.write(json.dumps(record, sort_keys=True) + "\n")
-            sink.flush()
-            records.append(record)
-            if interrupt is not None:
-                interrupt.check(
-                    completed=len(records),
-                    remaining=len(keys) - len(records),
-                )
-    return records
-
-
-def _run_experiments_fabric(
-    keys: List[str],
-    results_path: Path,
-    *,
-    workers: int,
-    lease_timeout_s: float,
-    chaos,
-    interrupt,
-    store: Union[str, Path, None] = None,
-    store_verify_fraction: float = 0.05,
-) -> List[dict]:
-    """Experiment campaign on the fabric; records in ``keys`` order."""
-    from ..fabric import FabricSupervisor, ResultJournal, ResultStore
-    from ..fabric.jobs import Job
-
-    if results_path.parent != Path(""):
-        results_path.parent.mkdir(parents=True, exist_ok=True)
     config: Dict[str, object] = {"schema": "experiment-job/1"}
-    journal = ResultJournal(results_path)
+    journal = _open_journal(Path(results_path))
     try:
         campaign: List[Job] = []
         by_key: Dict[str, str] = {}
@@ -1370,7 +1150,7 @@ def _run_experiments_fabric(
             )
             by_key[key] = job.job_id
             campaign.append(job)
-        supervisor = FabricSupervisor(
+        results = FabricSupervisor(
             journal,
             workers=workers,
             lease_timeout_s=lease_timeout_s,
@@ -1378,26 +1158,14 @@ def _run_experiments_fabric(
             interrupt=interrupt,
             store=ResultStore(Path(store)) if store is not None else None,
             store_verify_fraction=store_verify_fraction,
-        )
-        results = supervisor.run(campaign)
+        ).run(campaign)
         records: List[dict] = []
         for key in keys:
             job_id = by_key[key]
-            result = results.get(job_id)
-            if result is not None:
-                records.append(dict(result))
-                continue
-            record = journal.quarantined.get(job_id)
-            errors = (record or {}).get("errors") or []
-            last = errors[-1] if errors else {}
-            records.append(
-                {
-                    "experiment": key,
-                    "status": "quarantined",
-                    "error_type": last.get("type"),
-                    "error": last.get("message"),
-                }
-            )
+            result = results[job_id]
+            if result is None:
+                result = {"experiment": key, **_last_error(journal, job_id)}
+            records.append(dict(result))
         return records
     finally:
         journal.close()

@@ -8,11 +8,11 @@ Subcommands:
 * ``report <bench|name|trace.jsonl>`` — testability profile of a
   circuit, or a human-readable summary of a recorded trace;
 * ``experiments`` — run the reconstructed evaluation suite (T1–T4, F1–F4);
-* ``sweep`` — plan test points over many netlist files with per-circuit
-  crash isolation and a resumable JSONL results file; ``--fabric
-  --workers N`` runs it as a supervised fabric campaign (leased worker
-  processes, content-addressed dedup, exactly-once journal commits,
-  poison-job quarantine) with bit-identical results;
+* ``sweep`` — plan test points over many netlist files as a supervised
+  fabric campaign: per-circuit crash isolation, content-addressed dedup,
+  exactly-once commits to the ``--results`` journal (so a rerun
+  resumes), poison-job quarantine; ``--workers N`` runs it over a pool
+  of leased worker processes with bit-identical results;
 * ``fabric-status <journal>`` — inspect a fabric journal: commits,
   quarantined jobs, crash evidence (torn lines); ``--store DIR`` adds
   result-store statistics (entries, bytes, hits/misses/corrupt);
@@ -88,7 +88,13 @@ from .core.prepare import prepare_for_tpi
 from .core.greedy import solve_greedy
 from .core.heuristic import solve_dp_heuristic
 from .core.problem import TPIProblem, TPISolution
-from .errors import BudgetExceededError, ParseError, ReproError, SweepInterrupted
+from .errors import (
+    BudgetExceededError,
+    ExperimentError,
+    ParseError,
+    ReproError,
+    SweepInterrupted,
+)
 from .resilience import Budget
 from .resilience.interrupt import GracefulInterrupt
 from .sim.compile import DEFAULT_KERNEL, KERNEL_MODES
@@ -116,6 +122,27 @@ EXIT_INTERNAL = 4
 #: Stopped by SIGTERM/SIGINT at an item boundary with all completed work
 #: flushed durably — rerunning the same command resumes where it stopped.
 EXIT_INTERRUPTED = 5
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
 
 
 def _usage_exit(message: str) -> SystemExit:
@@ -371,31 +398,24 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             raise _usage_exit(
                 f"unknown experiment {key!r} (choose from {list(runners)})"
             )
-    if args.fabric and args.results is None:
-        raise _usage_exit("--fabric needs --results (the fabric journal)")
-    if args.fabric and args.no_resume:
+    if args.results is None and (args.fabric or args.store is not None):
         raise _usage_exit(
-            "--no-resume is meaningless with --fabric: the journal is "
-            "content-addressed (delete the journal file to start over)"
-        )
-    if args.store is not None and not args.fabric:
-        raise _usage_exit(
-            "--store needs --fabric (the result store is keyed by "
-            "fabric job ids)"
+            "--fabric/--store need --results (the campaign journal)"
         )
     if args.results is not None:
-        # Checkpointed mode: crash-isolated, resumable per experiment.
+        # Campaign mode: crash-isolated, resumable per experiment.
         with GracefulInterrupt() as stop:
-            records = exps.run_experiments_checkpointed(
-                selected,
-                args.results,
-                resume=not args.no_resume,
-                fabric=args.fabric,
-                workers=args.workers,
-                interrupt=stop,
-                store=args.store,
-                store_verify_fraction=args.store_verify,
-            )
+            try:
+                records = exps.run_experiments_checkpointed(
+                    selected,
+                    args.results,
+                    workers=args.workers,
+                    interrupt=stop,
+                    store=args.store,
+                    store_verify_fraction=args.store_verify,
+                )
+            except ExperimentError as exc:
+                raise _usage_exit(str(exc))
         failures = 0
         for record in records:
             if record["status"] == "ok":
@@ -440,35 +460,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise _usage_exit(f"no such file or directory: {spec!r}")
     if not paths:
         raise _usage_exit("no netlist files (.bench/.v/.sv) to sweep")
-    if args.no_resume and args.fabric:
-        raise _usage_exit(
-            "--no-resume is meaningless with --fabric: the journal is "
-            "content-addressed (delete the journal file to start over)"
-        )
-    if args.store is not None and not args.fabric:
-        raise _usage_exit(
-            "--store needs --fabric (the result store is keyed by "
-            "fabric job ids)"
-        )
     with GracefulInterrupt() as stop:
-        outcomes = exps.run_circuit_sweep(
-            paths,
-            args.results,
-            n_patterns=args.patterns,
-            escape_budget=args.escape,
-            budget=_budget_from_args(args),
-            solvers=tuple(args.solvers),
-            resume=not args.no_resume,
-            max_circuits=args.max_circuits,
-            measure_coverage=args.measure_coverage,
-            jobs=args.jobs,
-            fabric=args.fabric,
-            workers=args.workers,
-            lease_timeout_s=args.lease_timeout,
-            interrupt=stop,
-            store=args.store,
-            store_verify_fraction=args.store_verify,
-        )
+        try:
+            outcomes = exps.run_circuit_sweep(
+                paths,
+                args.results,
+                n_patterns=args.patterns,
+                escape_budget=args.escape,
+                budget=_budget_from_args(args),
+                solvers=tuple(args.solvers),
+                max_circuits=args.max_circuits,
+                measure_coverage=args.measure_coverage,
+                jobs=args.jobs,
+                workers=args.workers,
+                lease_timeout_s=args.lease_timeout,
+                interrupt=stop,
+                store=args.store,
+                store_verify_fraction=args.store_verify,
+            )
+        except ExperimentError as exc:
+            raise _usage_exit(str(exc))
     for outcome in outcomes:
         print(outcome.describe())
     n_failed = sum(1 for o in outcomes if not o.ok)
@@ -806,19 +817,28 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: repro_bundles/)",
         )
 
-    def add_store(g) -> None:
+    def add_campaign(p: argparse.ArgumentParser, description: str):
+        """The campaign options shared by ``sweep`` and ``experiments``."""
+        g = p.add_argument_group("campaign", description)
+        # Every campaign runs on the fabric; the flag is kept (hidden)
+        # so existing scripts that pass it keep working.
+        g.add_argument("--fabric", action="store_true", help=argparse.SUPPRESS)
+        g.add_argument(
+            "--workers", type=_positive_int, default=1, metavar="N",
+            help="worker-process pool width (default 1: serial in-process)",
+        )
         g.add_argument(
             "--store", metavar="DIR", default=None,
             help="cross-campaign result store: verified cache hits skip "
-            "recomputation, fresh commits are published back "
-            "(requires --fabric)",
+            "recomputation, fresh commits are published back",
         )
         g.add_argument(
-            "--store-verify", type=float, default=0.05, metavar="FRACTION",
+            "--store-verify", type=_fraction, default=0.05, metavar="FRACTION",
             help="seeded fraction of store hits re-executed and compared "
             "bit-exact against the cache (default 0.05; a mismatch "
             "aborts with a repro bundle)",
         )
+        return g
 
     def add_budget(p: argparse.ArgumentParser) -> None:
         g = p.add_argument_group(
@@ -874,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep",
         help="plan test points over many netlist files; crash-isolated, "
-        "checkpointed to --results, resumable",
+        "journaled to --results, resumable",
     )
     p.add_argument(
         "paths", nargs="+",
@@ -882,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--results", required=True, metavar="FILE",
-        help="JSONL results/checkpoint file (appended; enables resume)",
+        help="fabric journal of the campaign (appended; a rerun resumes)",
     )
     p.add_argument("--patterns", type=int, default=1024, help="pattern budget")
     p.add_argument("--escape", type=float, default=0.001, help="escape budget ε")
@@ -890,10 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--solvers", nargs="+", choices=list(SOLVER_CASCADE),
         default=list(DEFAULT_CASCADE), metavar="SOLVER",
         help=f"cascade stages, most precise first (default: {' '.join(DEFAULT_CASCADE)})",
-    )
-    p.add_argument(
-        "--no-resume", action="store_true",
-        help="re-run circuits already recorded in --results",
     )
     p.add_argument(
         "--max-circuits", type=int, metavar="N",
@@ -908,28 +924,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for coverage fault simulation",
     )
-    g = p.add_argument_group(
-        "fabric",
-        "supervised campaign execution: leased worker processes, "
+    g = add_campaign(
+        p,
+        "supervised fabric campaign: leased worker processes, "
         "content-addressed dedup, exactly-once journal commits, "
-        "poison-job quarantine; results are bit-identical to serial",
+        "poison-job quarantine; results are bit-identical for every "
+        "pool width",
     )
     g.add_argument(
-        "--fabric", action="store_true",
-        help="run the sweep on the fabric (--results becomes the "
-        "fabric journal)",
-    )
-    g.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="fabric pool width (default 2; 1 = in-process serial fabric)",
-    )
-    g.add_argument(
-        "--lease-timeout", type=float, default=30.0, metavar="SECONDS",
+        "--lease-timeout", type=_positive_float, default=30.0,
+        metavar="SECONDS",
         help="liveness window per leased job: a worker that stops "
         "heartbeating this long is declared dead and its job "
         "re-dispatched (default 30)",
     )
-    add_store(g)
     add_observability(p)
     add_profile(p)
     add_budget(p)
@@ -940,7 +948,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect a fabric journal: commits, quarantined jobs, "
         "crash evidence",
     )
-    p.add_argument("journal", help="fabric journal file (sweep --fabric --results)")
+    p.add_argument(
+        "journal", help="fabric journal file (sweep/experiments --results)"
+    )
     p.add_argument(
         "--store", metavar="DIR", default=None,
         help="also report this result store's statistics (entries, "
@@ -1076,26 +1086,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--results", metavar="FILE",
-        help="JSONL checkpoint file: isolate experiment failures and "
-        "resume completed experiments from it",
+        help="run as a fabric campaign journaled to FILE: isolate "
+        "experiment failures and resume completed experiments from it",
     )
-    p.add_argument(
-        "--no-resume", action="store_true",
-        help="with --results: re-run experiments already recorded",
+    add_campaign(
+        p,
+        "supervised fabric campaign (with --results): leased worker "
+        "processes, exactly-once journal commits, poison-job quarantine",
     )
-    g = p.add_argument_group(
-        "fabric", "supervised campaign over a worker pool (with --results)"
-    )
-    g.add_argument(
-        "--fabric", action="store_true",
-        help="run as a fabric campaign: leased workers, exactly-once "
-        "journal at --results, poison-job quarantine",
-    )
-    g.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="fabric pool width (default 1: serial in-process)",
-    )
-    add_store(g)
     add_observability(p)
     p.set_defaults(fn=_cmd_experiments)
 

@@ -18,7 +18,7 @@ solver cascade) can tell principled failures apart from genuine bugs:
 * :class:`SimulationError` — a simulation request is inconsistent with
   the circuit (foreign faults, empty pattern budget);
 * :class:`ExperimentError` — an experiment-harness level failure
-  (unknown experiment id, corrupt checkpoint file);
+  (unknown experiment id, a results file that is not a fabric journal);
 * :class:`DivergenceError` — a self-check caught two execution paths
   disagreeing (compiled kernel vs interpreter, incremental vs full pass,
   a solver's claimed objective vs independent re-evaluation); carries
@@ -135,11 +135,11 @@ class SimulationError(ReproError, ValueError):
 
 
 class ExperimentError(ReproError, RuntimeError):
-    """An experiment-harness level failure (bad id, corrupt checkpoint)."""
+    """An experiment-harness level failure (bad id, foreign results file)."""
 
 
 class ArtifactWriteError(ReproError, OSError):
-    """A durable artifact (journal, checkpoint, bundle) failed to write.
+    """A durable artifact (journal, store entry, bundle) failed to write.
 
     Raised by :mod:`repro.ioutil` when the filesystem refuses a write —
     ENOSPC, a vanished directory, a permission flip — after the helper
@@ -192,7 +192,7 @@ class SweepInterrupted(ReproError, RuntimeError):
     """A sweep/experiment campaign stopped on SIGTERM/SIGINT, resumably.
 
     Raised at the next job boundary after a termination signal: the
-    in-flight record has been flushed to the checkpoint/journal, so a
+    in-flight record has been committed to the journal, so a
     rerun with the same results file resumes exactly where this run
     stopped.  The CLI maps it to its own exit code
     (:data:`repro.cli.EXIT_INTERRUPTED`) so callers can tell "killed but

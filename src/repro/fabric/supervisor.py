@@ -59,7 +59,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .. import ioutil, obs
 from ..errors import ArtifactWriteError, SweepInterrupted
 from ..resilience.breaker import CircuitBreaker
-from ..resilience.chaos import FabricChaosSpec
+from ..resilience.chaos import ChaosSpec
 from ..resilience.interrupt import GracefulInterrupt
 from ..resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from .jobs import Job
@@ -101,8 +101,9 @@ class FabricSupervisor:
     journal:
         The campaign's durable result log (already replayed if resuming).
     workers:
-        Pool width; ``<= 1`` runs the whole campaign serially in-process
-        (the fabric still provides dedup, journaling, and quarantine).
+        Pool width; 1 (the default) runs the whole campaign serially
+        in-process (the fabric still provides dedup, journaling, and
+        quarantine).
     lease_timeout_s:
         Liveness window per lease; heartbeats extend it.
     heartbeat_interval_s:
@@ -143,12 +144,12 @@ class FabricSupervisor:
     def __init__(
         self,
         journal: ResultJournal,
-        workers: int = 2,
+        workers: int = 1,
         lease_timeout_s: float = 30.0,
         heartbeat_interval_s: Optional[float] = None,
         max_attempts: int = 3,
         retry_policy: Optional[RetryPolicy] = None,
-        chaos: Optional[FabricChaosSpec] = None,
+        chaos: Optional[ChaosSpec] = None,
         breaker: Optional[CircuitBreaker] = None,
         interrupt: Optional[GracefulInterrupt] = None,
         store: Optional[ResultStore] = None,
@@ -932,6 +933,7 @@ class FabricSupervisor:
     def _drain_serial(self, queue: WorkQueue) -> None:
         """Run everything left in-process (degraded or workers<=1)."""
         obs.count("fabric.serial_drains")
+        beat = obs.Heartbeat("fabric")
         while queue.unfinished:
             if self.interrupt is not None and self.interrupt.requested:
                 self.interrupt.check(
@@ -941,6 +943,7 @@ class FabricSupervisor:
             if lease is None:
                 return  # only leased-elsewhere work remains
             self._run_in_parent(queue, lease)
+            beat.beat(fabric_done=queue.n_done, fabric_pending=queue.n_pending)
 
     def _run_in_parent(self, queue: WorkQueue, lease: Lease) -> None:
         """Execute one leased job in-process; commit through the gate.

@@ -22,7 +22,7 @@ contract is
    result, exactly as the parallel fan-out's chunks do, so worker-side
    activity lands attributed in the parent trace.
 
-Chaos (:class:`~repro.resilience.chaos.FabricChaosSpec`) hooks in right
+Chaos (:class:`~repro.resilience.chaos.ChaosSpec`) hooks in right
 before execution: ``crash`` hard-kills the process mid-lease, ``stall``
 suppresses the heartbeat and sleeps past lease expiry (then *returns its
 result anyway*, late — exercising the exactly-once commit gate),
@@ -38,7 +38,7 @@ from time import perf_counter
 from typing import Dict, Optional, Tuple
 
 from .. import obs
-from ..resilience.chaos import FabricChaosSpec
+from ..resilience.chaos import ChaosSpec
 
 __all__ = ["execute_job", "init_fabric_worker"]
 
@@ -48,7 +48,7 @@ _WORKER_STATE: Optional[Dict[str, object]] = None
 def init_fabric_worker(
     heartbeat_queue,
     heartbeat_interval_s: float,
-    chaos: Optional[FabricChaosSpec],
+    chaos: Optional[ChaosSpec],
     run_id: Optional[str],
 ) -> None:
     """Pool initializer: prime one worker process.
@@ -140,7 +140,7 @@ def execute_job(
     state = _WORKER_STATE
     assert state is not None, "fabric worker used before initialization"
     job_id = str(job_dict["job_id"])
-    chaos: Optional[FabricChaosSpec] = state.get("chaos")  # type: ignore[assignment]
+    chaos: Optional[ChaosSpec] = state.get("chaos")  # type: ignore[assignment]
     action = chaos.action(job_index, attempt) if chaos is not None else None
     if action == "crash":
         os._exit(17)  # a hard worker death mid-lease, not an exception

@@ -1,7 +1,7 @@
 """Atomic and durable file-write helpers shared by every artifact producer.
 
-Results files, perf snapshots, checkpoints' sidecars, repro bundles, and
-the fabric result journal are all read by *other* processes (CI artifact
+Results files, perf snapshots, repro bundles, and the fabric result
+journal are all read by *other* processes (CI artifact
 uploads, resumed sweeps, ``repro-tpi replay``, ``repro-tpi
 fabric-status``), so a crash mid-write must never leave a torn file
 behind.  Two disciplines cover every writer:
@@ -12,7 +12,7 @@ behind.  Two disciplines cover every writer:
   ``os.replace`` — readers observe either the old content or the
   complete new content, never a prefix;
 * **durable appends** (:func:`append_durable_line`): append-mode JSONL
-  streams (sweep checkpoints, the fabric journal) flush + fsync each
+  streams (the fabric journal) flush + fsync each
   record, so a committed line survives ``kill -9``; a crash can tear at
   most the line in flight, which readers tolerate
   (:func:`read_jsonl_tolerant`) and re-openers repair
@@ -225,9 +225,8 @@ def read_jsonl_tolerant(
     ``good_lines``, index-aligned); every line that fails to decode — the
     torn final line of a killed writer, a disk-corrupted middle line, a
     non-object — lands verbatim in ``bad_lines``.  Callers decide what to
-    do with the casualties: the sweep checkpoint reader quarantines them
-    to a ``.bad`` sidecar, the fabric journal and trace loaders merely
-    count them.
+    do with the casualties: the fabric journal and trace loaders count
+    them.
     """
     records: List[dict] = []
     good: List[str] = []

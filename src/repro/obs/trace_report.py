@@ -33,7 +33,7 @@ class Trace:
 def load_trace(path: Union[str, Path]) -> Trace:
     """Parse a JSONL trace.  Unparseable lines are counted, not fatal.
 
-    Tolerance mirrors the sweep checkpoint reader
+    Tolerance mirrors the fabric journal reader
     (:func:`repro.ioutil.read_jsonl_tolerant`): a torn final line from a
     killed recorder — or any corrupt middle line — is counted in
     ``n_bad_lines`` and skipped, as is a ``span`` record missing the

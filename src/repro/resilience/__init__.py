@@ -13,9 +13,11 @@ The resilience layer has three parts, threaded through the whole pipeline:
   budget failures: the cascade degrades to a cheaper solver, the runner
   records the failure and moves on to the next circuit;
 * deterministic chaos hooks (:class:`ChaosSpec`) that inject worker
-  crashes / hangs / corrupted payloads into the parallel fault-sim
-  fan-out, so the hardened retry/respawn/degrade machinery in
-  :mod:`repro.sim.parallel` is provable rather than hopeful.
+  crashes / stalls / corrupted payloads into the parallel fault-sim
+  fan-out and the sweep fabric (plus journal and result-store faults on
+  the fabric's supervisor side), so the hardened retry/respawn/degrade
+  machinery in :mod:`repro.sim.parallel` and :mod:`repro.fabric` is
+  provable rather than hopeful.
 
 DESIGN.md §8 describes the degradation cascade and why NP-completeness
 makes budgets first-class here; §11 covers the chaos hook contract.
@@ -34,12 +36,7 @@ from ..errors import (
     SweepInterrupted,
 )
 from .budget import Budget, Deadline
-from .chaos import (
-    CHAOS_ACTIONS,
-    FABRIC_CHAOS_ACTIONS,
-    ChaosSpec,
-    FabricChaosSpec,
-)
+from .chaos import CHAOS_ACTIONS, ChaosSpec
 from .interrupt import GracefulInterrupt
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
@@ -47,8 +44,6 @@ __all__ = [
     "Budget",
     "CHAOS_ACTIONS",
     "ChaosSpec",
-    "FABRIC_CHAOS_ACTIONS",
-    "FabricChaosSpec",
     "Deadline",
     "DEFAULT_RETRY_POLICY",
     "GracefulInterrupt",

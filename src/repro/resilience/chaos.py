@@ -1,34 +1,29 @@
-"""Deterministic fault injection for the parallel fan-out (chaos hooks).
+"""Deterministic fault injection for supervised pools (chaos hooks).
 
-The hardened :func:`repro.sim.parallel.run_parallel` promises that worker
-crashes, hangs, corrupted chunk payloads, and spurious worker exceptions
-never change the *result* — only the wall clock.  That promise is worth
-nothing untested, and real crashes are not reproducible; a
-:class:`ChaosSpec` makes them so.  It is carried into every worker and
-consulted once per ``(chunk, attempt)``:
+The hardened :func:`repro.sim.parallel.run_parallel` and the sweep
+fabric (:mod:`repro.fabric`) both promise that worker crashes, stalls,
+corrupted payloads and spurious worker exceptions never change the
+*result* — only the wall clock.  The fabric also promises the same for
+supervisor-side failures (journal writes hitting ENOSPC, duplicate
+completions racing the commit point, result-store corruption).  Those
+promises are worth nothing untested, and real crashes are not
+reproducible; a :class:`ChaosSpec` makes them so.  It is carried into
+every worker and consulted once per ``(index, attempt)``, where the
+index is a fault-sim chunk or a fabric job.
 
-* ``crash`` — the worker process dies hard (``os._exit``), breaking the
-  pool mid-flight (exercises pool respawn + chunk re-dispatch);
-* ``hang`` — the worker sleeps ``hang_seconds`` before computing
-  (exercises the per-chunk deadline and stale-result handling);
-* ``corrupt`` — the worker returns a truncated payload (exercises the
-  parent's shape validation + retry);
-* ``spurious`` — the worker raises a ``RuntimeError`` (exercises plain
-  per-chunk retry).
+Injection is **seeded and deterministic**: the decision for an item is a
+pure function of ``(seed, index, attempt)``, so a failing run replays
+exactly and the supervisor and its workers agree without communicating.
+``forced`` pins specific items to specific actions for targeted tests.
+By default (``first_attempt_only=True``) chaos applies only to an item's
+first attempt, so every hardened run must converge to the serial result
+— which is exactly the property the chaos tests assert.
 
-Injection is **seeded and deterministic**: the decision for a chunk is a
-pure function of ``(seed, chunk_index, attempt)``, so a failing run
-replays exactly.  ``forced`` pins specific chunks to specific actions for
-targeted tests.  By default (``first_attempt_only=True``) chaos applies
-only to a chunk's first attempt, so every hardened run must converge to
-the serial result — which is exactly the property the chaos tests
-assert.
-
-The sweep fabric (:mod:`repro.fabric`) has its own, wider fault surface —
-besides worker-process mayhem it must survive *supervisor-side* failures
-(journal writes hitting ENOSPC, duplicate completions racing the commit
-point).  :class:`FabricChaosSpec` covers it with the same contract:
-seeded, deterministic per ``(job_index, attempt)``, and off by default.
+Each consumer inflicts the actions it has a surface for and ignores the
+rest by name: ``run_parallel`` workers and fabric workers inflict
+``crash``/``stall``/``corrupt``/``spurious``; the fabric supervisor
+inflicts ``enospc``/``duplicate`` and, with a result store attached,
+the ``store_*`` faults.
 
 Nothing here ever fires in production: ``run_parallel(chaos=None)`` /
 ``FabricSupervisor(chaos=None)`` (the defaults) skip every hook.
@@ -38,110 +33,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-__all__ = [
-    "CHAOS_ACTIONS",
-    "ChaosSpec",
-    "FABRIC_CHAOS_ACTIONS",
-    "FabricChaosSpec",
-]
+__all__ = ["CHAOS_ACTIONS", "ChaosSpec"]
 
-#: Everything a chaos hook can do to a chunk attempt.
-CHAOS_ACTIONS = ("crash", "hang", "corrupt", "spurious")
-
-
-@dataclass(frozen=True)
-class ChaosSpec:
-    """Seeded fault-injection plan for one ``run_parallel`` call.
-
-    ``crash``/``hang``/``corrupt``/``spurious`` are per-chunk
-    probabilities (bands of one uniform draw, so they must sum to at most
-    1).  ``forced`` overrides the draw for specific chunk indices:
-    ``((0, "crash"), (1, "hang"))`` crashes chunk 0's worker and hangs
-    chunk 1's.
-    """
-
-    seed: int = 0
-    crash: float = 0.0
-    hang: float = 0.0
-    corrupt: float = 0.0
-    spurious: float = 0.0
-    #: How long a "hang" sleeps before computing (keep well above the
-    #: caller's ``chunk_timeout`` so the deadline actually fires).
-    hang_seconds: float = 30.0
-    #: With True (default) chaos only strikes a chunk's first attempt, so
-    #: retries converge; False re-rolls per attempt (torture mode).
-    first_attempt_only: bool = True
-    forced: Tuple[Tuple[int, str], ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        total = self.crash + self.hang + self.corrupt + self.spurious
-        if total > 1.0 + 1e-12:
-            raise ValueError(
-                f"chaos probabilities sum to {total:g} > 1"
-            )
-        for _idx, act in self.forced:
-            if act not in CHAOS_ACTIONS:
-                raise ValueError(
-                    f"unknown chaos action {act!r} "
-                    f"(choose from {CHAOS_ACTIONS})"
-                )
-
-    def action(self, chunk_index: int, attempt: int) -> Optional[str]:
-        """The action (if any) to inflict on this chunk attempt.
-
-        Pure and deterministic: same spec + same ``(chunk_index,
-        attempt)`` always returns the same answer, in the parent and in
-        any worker.
-        """
-        if attempt > 0 and self.first_attempt_only:
-            return None
-        for idx, act in self.forced:
-            if idx == chunk_index:
-                return act
-        bands = (
-            ("crash", self.crash),
-            ("hang", self.hang),
-            ("corrupt", self.corrupt),
-            ("spurious", self.spurious),
-        )
-        return _banded_roll(
-            f"chaos:{self.seed}:{chunk_index}:{attempt}", bands
-        )
-
-
-def _banded_roll(
-    seed_key: str, bands: Sequence[Tuple[str, float]]
-) -> Optional[str]:
-    """One uniform draw partitioned into probability bands.
-
-    The draw is keyed by ``seed_key`` alone, so the same key always
-    lands in the same band — in the parent, in any worker, on any host.
-    """
-    if not any(p for _name, p in bands):
-        return None
-    roll = random.Random(seed_key).random()
-    edge = 0.0
-    for name, p in bands:
-        edge += p
-        if roll < edge:
-            return name
-    return None
-
-
-#: Everything fabric chaos can do to a job attempt.  The first four are
-#: inflicted inside the worker process; ``enospc`` and ``duplicate``
-#: strike the *supervisor* side (journal append failure, double commit).
-FABRIC_CHAOS_ACTIONS = (
-    "crash",      # worker process dies hard mid-lease (os._exit)
-    "stall",      # worker stops heartbeating and sleeps past lease expiry
+#: Everything a chaos hook can do to an item attempt.  The first four
+#: are inflicted inside the worker process; the rest strike the fabric
+#: *supervisor* side (``run_parallel`` has no such surface).
+CHAOS_ACTIONS = (
+    "crash",      # worker process dies hard mid-item (os._exit)
+    "stall",      # worker stops heartbeating and sleeps stall_seconds
     "corrupt",    # worker returns a malformed result payload
     "spurious",   # worker raises an unexpected exception
     "enospc",     # the journal append for this job's commit fails once
     "duplicate",  # a second completion for the job races the commit
     # Result-store faults (strike the published store entry after the
-    # journal commit; workers ignore them — they check actions by name):
+    # journal commit):
     "store_torn",     # the entry file is truncated mid-record
     "store_bitflip",  # one bit of the entry payload is flipped
     "store_stale",    # the entry is rewritten under an old schema tag
@@ -150,42 +57,41 @@ FABRIC_CHAOS_ACTIONS = (
 
 
 @dataclass(frozen=True)
-class FabricChaosSpec:
-    """Seeded fault-injection plan for one fabric campaign.
+class ChaosSpec:
+    """Seeded fault-injection plan for one pool run or fabric campaign.
 
-    Mirrors :class:`ChaosSpec` (banded probabilities over one uniform
-    draw per ``(job_index, attempt)``, ``forced`` pins, first-attempt-
-    only by default) over the fabric's fault surface:
+    Each action field is a per-item probability (bands of one uniform
+    draw per ``(index, attempt)``, so they must sum to at most 1).
+    ``forced`` overrides the draw for specific indices:
+    ``((0, "crash"), (1, "stall"))`` crashes item 0's worker and stalls
+    item 1's.
 
-    * ``crash`` — the worker leasing the job dies hard, breaking the
-      pool (exercises pool respawn, lease bookkeeping, the breaker);
-    * ``stall`` — the worker suppresses its heartbeat and sleeps
-      ``stall_seconds`` (exercises heartbeat-based lease expiry and
-      re-dispatch; the stalled attempt's late result must lose to the
-      exactly-once commit);
+    * ``crash`` — the worker dies hard, breaking the pool (exercises
+      pool respawn, re-dispatch, lease bookkeeping, the breaker);
+    * ``stall`` — the worker sleeps ``stall_seconds`` before computing;
+      a fabric worker also suppresses its heartbeat (exercises the
+      per-chunk deadline, heartbeat-based lease expiry, and the
+      exactly-once gate rejecting the late result);
     * ``corrupt`` — the worker returns a malformed payload (exercises
-      supervisor-side shape validation + retry);
+      shape validation + retry);
     * ``spurious`` — the worker raises (plain retry path);
     * ``enospc`` — the journal append committing this job fails once
-      with ``ENOSPC`` (exercises commit retry; the job must still
-      commit exactly once);
+      with ``ENOSPC`` (the job must still commit exactly once);
     * ``duplicate`` — a duplicate completion for the job is offered to
       the journal after the real commit (must be rejected, not
       double-counted);
-    * ``store_torn`` — the result-store entry published for this job is
-      truncated mid-record (a torn write; the next read must quarantine
-      it and recompute, never serve a partial record);
+    * ``store_torn`` — the published result-store entry is truncated
+      mid-record (the next read must quarantine it and recompute, never
+      serve a partial record);
     * ``store_bitflip`` — one bit of the published entry is flipped
-      (silent media corruption; the payload sha256 must catch it);
+      (the payload sha256 must catch it);
     * ``store_stale`` — the published entry is rewritten under an
-      outdated schema tag (a leftover from an older store format; it
-      must be quarantined, not parsed on faith);
+      outdated schema tag (it must be quarantined, not parsed on faith);
     * ``store_double`` — a second publish for the job races the first
       (must be a no-op: first write wins, entry content unchanged).
 
-    The ``store_*`` faults only fire when the campaign runs with a
-    result store attached; without one the supervisor has nothing to
-    corrupt and ignores them.
+    The ``store_*`` faults only fire when a campaign runs with a result
+    store attached; without one the supervisor has nothing to corrupt.
     """
 
     seed: int = 0
@@ -199,54 +105,43 @@ class FabricChaosSpec:
     store_bitflip: float = 0.0
     store_stale: float = 0.0
     store_double: float = 0.0
-    #: How long a stalled worker sleeps (keep well above the
-    #: supervisor's ``lease_timeout_s`` so the lease actually expires).
+    #: How long a "stall" sleeps (keep well above the caller's
+    #: ``chunk_timeout`` / ``lease_timeout_s`` so the deadline fires).
     stall_seconds: float = 30.0
-    #: With True (default) chaos only strikes a job's first attempt, so
+    #: With True (default) chaos only strikes an item's first attempt, so
     #: retries converge; False re-rolls per attempt (torture mode).
     first_attempt_only: bool = True
     forced: Tuple[Tuple[int, str], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        total = (
-            self.crash + self.stall + self.corrupt
-            + self.spurious + self.enospc + self.duplicate
-            + self.store_torn + self.store_bitflip
-            + self.store_stale + self.store_double
-        )
+        total = sum(getattr(self, act) for act in CHAOS_ACTIONS)
         if total > 1.0 + 1e-12:
             raise ValueError(f"chaos probabilities sum to {total:g} > 1")
         for _idx, act in self.forced:
-            if act not in FABRIC_CHAOS_ACTIONS:
+            if act not in CHAOS_ACTIONS:
                 raise ValueError(
-                    f"unknown fabric chaos action {act!r} "
-                    f"(choose from {FABRIC_CHAOS_ACTIONS})"
+                    f"unknown chaos action {act!r} "
+                    f"(choose from {CHAOS_ACTIONS})"
                 )
 
-    def action(self, job_index: int, attempt: int) -> Optional[str]:
-        """The action (if any) to inflict on this job attempt.
+    def action(self, index: int, attempt: int) -> Optional[str]:
+        """The action (if any) to inflict on this item attempt.
 
-        Pure and deterministic — the supervisor and the worker agree on
-        the answer without communicating, which is what lets worker-side
-        and supervisor-side faults share one spec.
+        Pure and deterministic: same spec + same ``(index, attempt)``
+        always returns the same answer, in the parent and in any worker,
+        on any host.
         """
         if attempt > 0 and self.first_attempt_only:
             return None
         for idx, act in self.forced:
-            if idx == job_index:
+            if idx == index:
                 return act
-        bands = (
-            ("crash", self.crash),
-            ("stall", self.stall),
-            ("corrupt", self.corrupt),
-            ("spurious", self.spurious),
-            ("enospc", self.enospc),
-            ("duplicate", self.duplicate),
-            ("store_torn", self.store_torn),
-            ("store_bitflip", self.store_bitflip),
-            ("store_stale", self.store_stale),
-            ("store_double", self.store_double),
-        )
-        return _banded_roll(
-            f"fabric-chaos:{self.seed}:{job_index}:{attempt}", bands
-        )
+        if not any(getattr(self, act) for act in CHAOS_ACTIONS):
+            return None
+        roll = random.Random(f"chaos:{self.seed}:{index}:{attempt}").random()
+        edge = 0.0
+        for act in CHAOS_ACTIONS:
+            edge += getattr(self, act)
+            if roll < edge:
+                return act
+        return None

@@ -43,7 +43,7 @@ Design notes:
   with per-worker attribution and no double counting;
 * all of that machinery is testable deterministically by passing a
   seeded :class:`~repro.resilience.chaos.ChaosSpec` (``chaos=``), which
-  makes workers crash / hang / corrupt their payloads on purpose.
+  makes workers crash / stall / corrupt their payloads on purpose.
 """
 
 from __future__ import annotations
@@ -183,8 +183,8 @@ def _simulate_chunk(
             f"chaos: spurious exception in chunk {chunk_index} "
             f"attempt {attempt}"
         )
-    if action == "hang":
-        time.sleep(chaos.hang_seconds)
+    if action == "stall":
+        time.sleep(chaos.stall_seconds)
     budget = None
     if budget_spec is not None:
         budget = Budget(
@@ -592,8 +592,8 @@ def run_parallel(
     chaos:
         Optional deterministic fault-injection plan
         (:class:`~repro.resilience.chaos.ChaosSpec`) — test-only; makes
-        workers crash / hang / corrupt payloads on purpose to exercise
-        the hardening below.
+        workers crash / stall / corrupt payloads on purpose to exercise
+        the hardening below (supervisor-only actions never fire here).
     chunk_timeout:
         Per-chunk deadline in seconds.  A chunk still unfinished past its
         deadline is re-dispatched (the hung attempt's late result is used

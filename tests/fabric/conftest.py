@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from repro import obs
+from repro.analysis.experiments import _sweep_one
 from repro.circuit import generators, write_bench_file
+from repro.core.cascade import DEFAULT_CASCADE
 from repro.obs.recorder import RunRecorder
 
 
@@ -76,3 +79,29 @@ def journal_records():
 @pytest.fixture
 def commit_counts():
     return _commit_counts
+
+
+def _reference_sweep(paths, n_patterns, measure_coverage=False):
+    """Sweep outcomes (as dicts) computed one circuit at a time, directly.
+
+    The bit-identity reference for every fabric run: no supervisor, no
+    journal, no dedup — just the per-circuit solve the jobs wrap.
+    """
+    return [
+        asdict(
+            _sweep_one(
+                path,
+                n_patterns,
+                0.001,
+                None,
+                DEFAULT_CASCADE,
+                measure_coverage=measure_coverage,
+            )
+        )
+        for path in paths
+    ]
+
+
+@pytest.fixture
+def reference_sweep():
+    return _reference_sweep

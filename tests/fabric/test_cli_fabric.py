@@ -1,4 +1,5 @@
-"""The fabric's CLI surface: sweep --fabric, fabric-status, pack, store-gc."""
+"""The fabric's CLI surface: sweep/experiments campaigns, fabric-status,
+pack, store-gc."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import json
 import pytest
 
 from repro.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
-from repro.resilience.chaos import FabricChaosSpec
+from repro.resilience.chaos import ChaosSpec
 
 
 class TestSweepFabric:
@@ -34,22 +35,85 @@ class TestSweepFabric:
         assert main(argv) == EXIT_OK
         assert journal.read_text() == before
 
-    def test_no_resume_with_fabric_is_a_usage_error(
+    def test_fabric_flag_is_a_hidden_no_op(
         self, tmp_path, bench_paths, capsys
     ):
+        outputs = []
+        for name, extra in (("a.journal", []), ("b.journal", ["--fabric"])):
+            argv = [
+                "sweep",
+                str(bench_paths[0].parent),
+                "--results",
+                str(tmp_path / name),
+                "--patterns",
+                "64",
+            ]
+            assert main(argv + extra) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert (tmp_path / "a.journal").read_bytes() == (
+            tmp_path / "b.journal"
+        ).read_bytes()
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        assert "--fabric" not in capsys.readouterr().out
+
+
+class TestCampaignUsageErrors:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("sweep", "--store-verify", "1.5"),
+            ("sweep", "--store-verify", "-0.1"),
+            ("sweep", "--lease-timeout", "0"),
+            ("sweep", "--workers", "-3"),
+            ("experiments", "--workers", "0"),
+            ("experiments", "--store-verify", "2"),
+        ],
+    )
+    def test_out_of_range_flag_is_exit_2(
+        self, tmp_path, bench_paths, capsys, command, flag, value
+    ):
+        journal = tmp_path / "x.journal"
+        argv = (
+            ["sweep", str(bench_paths[0].parent)]
+            if command == "sweep"
+            else ["experiments", "--only", "t2"]
+        )
+        argv += ["--results", str(journal), "--store", str(tmp_path / "s")]
         with pytest.raises(SystemExit) as ei:
-            main(
-                [
-                    "sweep",
-                    str(bench_paths[0].parent),
-                    "--results",
-                    str(tmp_path / "j.journal"),
-                    "--fabric",
-                    "--no-resume",
-                ]
-            )
+            main(argv + [flag, value])
         assert ei.value.code == EXIT_USAGE
-        assert "content-addressed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
+        assert not journal.exists()
+
+    def test_non_journal_results_file_is_refused_untouched(
+        self, tmp_path, bench_paths, capsys
+    ):
+        # A results file from the retired checkpoint format: decodable
+        # records, none of them a journal record.
+        old = tmp_path / "old.jsonl"
+        old.write_text(
+            "".join(
+                json.dumps({"circuit": p.stem, "path": str(p), "status": "ok"})
+                + "\n"
+                for p in bench_paths
+            )
+        )
+        before = old.read_bytes()
+        for argv in (
+            ["sweep", str(bench_paths[0].parent)],
+            ["experiments", "--only", "t2"],
+        ):
+            with pytest.raises(SystemExit) as ei:
+                main(argv + ["--results", str(old), "--fabric"])
+            assert ei.value.code == EXIT_USAGE
+            err = capsys.readouterr().err.strip()
+            assert len(err.splitlines()) == 1
+            assert str(old) in err and "not a fabric journal" in err
+            assert old.read_bytes() == before
 
 
 class TestExperimentsFabric:
@@ -69,27 +133,12 @@ class TestExperimentsFabric:
         assert main(argv) == EXIT_OK
         assert journal.read_text() == before
 
-    def test_fabric_without_results_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as ei:
-            main(["experiments", "--only", "t2", "--fabric"])
-        assert ei.value.code == EXIT_USAGE
-        assert "--results" in capsys.readouterr().err
-
-    def test_no_resume_with_fabric_is_a_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as ei:
-            main(
-                [
-                    "experiments",
-                    "--only",
-                    "t2",
-                    "--results",
-                    str(tmp_path / "exp.journal"),
-                    "--fabric",
-                    "--no-resume",
-                ]
-            )
-        assert ei.value.code == EXIT_USAGE
-        assert "content-addressed" in capsys.readouterr().err
+    def test_fabric_without_results_is_a_usage_error(self, tmp_path, capsys):
+        for extra in (["--fabric"], ["--store", str(tmp_path / "store")]):
+            with pytest.raises(SystemExit) as ei:
+                main(["experiments", "--only", "t2", *extra])
+            assert ei.value.code == EXIT_USAGE
+            assert "--results" in capsys.readouterr().err
 
 
 class TestFabricStatus:
@@ -103,9 +152,8 @@ class TestFabricStatus:
             bench_paths,
             journal,
             n_patterns=64,
-            fabric=True,
             workers=2,
-            chaos=FabricChaosSpec(
+            chaos=ChaosSpec(
                 forced=((1, "spurious"),), first_attempt_only=False
             ),
         )
@@ -157,33 +205,6 @@ def store_campaign(tmp_path, bench_paths):
 
 
 class TestStoreCli:
-    def test_store_without_fabric_is_a_usage_error(
-        self, tmp_path, bench_paths, capsys
-    ):
-        for command in (
-            [
-                "sweep",
-                str(bench_paths[0].parent),
-                "--results",
-                str(tmp_path / "r.jsonl"),
-                "--store",
-                str(tmp_path / "store"),
-            ],
-            [
-                "experiments",
-                "--only",
-                "t2",
-                "--results",
-                str(tmp_path / "e.jsonl"),
-                "--store",
-                str(tmp_path / "store"),
-            ],
-        ):
-            with pytest.raises(SystemExit) as ei:
-                main(command)
-            assert ei.value.code == EXIT_USAGE
-            assert "--fabric" in capsys.readouterr().err
-
     def test_fabric_status_reports_store(
         self, bench_paths, store_campaign, capsys
     ):

@@ -3,8 +3,9 @@
 The property under test is the ISSUE's acceptance bar verbatim: a fabric
 sweep that is SIGKILLed mid-campaign (no atexit, no finally, no flush —
 the process group just stops existing) and then resumed produces results
-bit-identical to a serial sweep, with every job committed exactly once
-across the *entire* journal history, torn lines included.
+bit-identical to solving each circuit directly (no supervisor, journal
+or dedup), with every job committed exactly once across the *entire*
+journal history, torn lines included.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ run_circuit_sweep(
     sys.argv[2],
     n_patterns={n_patterns},
     measure_coverage=True,
-    fabric=True,
     workers=2,
 )
 """
@@ -73,7 +73,9 @@ def _count_commits(journal_path):
     return counts
 
 
-def test_kill9_then_resume_is_bit_identical(tmp_path, many_circuits):
+def test_kill9_then_resume_is_bit_identical(
+    tmp_path, many_circuits, reference_sweep
+):
     journal = tmp_path / "fabric.journal"
     script = tmp_path / "runner.py"
     script.write_text(_RUNNER.format(n_patterns=N_PATTERNS))
@@ -124,17 +126,13 @@ def test_kill9_then_resume_is_bit_identical(tmp_path, many_circuits):
         journal,
         n_patterns=N_PATTERNS,
         measure_coverage=True,
-        fabric=True,
         workers=2,
     )
 
-    serial = exps.run_circuit_sweep(
-        many_circuits,
-        tmp_path / "serial.jsonl",
-        n_patterns=N_PATTERNS,
-        measure_coverage=True,
+    serial = reference_sweep(
+        many_circuits, N_PATTERNS, measure_coverage=True
     )
-    assert [asdict(o) for o in resumed] == [asdict(o) for o in serial]
+    assert [asdict(o) for o in resumed] == serial
 
     # Exactly-once across the whole history: pre-kill commits were not
     # re-committed on resume, and every job has exactly one record.

@@ -35,7 +35,6 @@ def campaign(tmp_path, bench_paths):
             bench_paths,
             journal,
             n_patterns=N_PATTERNS,
-            fabric=True,
             workers=1,
             store=store,
             store_verify_fraction=0.0,

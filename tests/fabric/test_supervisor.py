@@ -1,10 +1,10 @@
 """The fabric's acceptance bar: bit-identical to serial, exactly once.
 
-Every test runs the same circuits through the serial sweep driver and
-through the fabric (with some injected failure), then asserts the
-outcome lists are *equal as data* and that the journal holds exactly one
-commit per job.  Chaos may change scheduling; it must never change
-results.
+Every test solves the same circuits one at a time without the fabric
+(the reference) and through the fabric (with some injected failure),
+then asserts the outcome lists are *equal as data* and that the journal
+holds exactly one commit per job.  Chaos may change scheduling; it must
+never change results.
 """
 
 from __future__ import annotations
@@ -17,43 +17,40 @@ import pytest
 from repro.analysis import experiments as exps
 from repro.errors import SweepInterrupted
 from repro.fabric import quarantine_dir_for
-from repro.resilience.chaos import FabricChaosSpec
+from repro.resilience.chaos import ChaosSpec
 from repro.resilience.interrupt import GracefulInterrupt
 
 N_PATTERNS = 64
 
 
-def _serial(paths, results_path):
-    outcomes = exps.run_circuit_sweep(
-        paths, results_path, n_patterns=N_PATTERNS
-    )
-    return [asdict(o) for o in outcomes]
-
-
 def _fabric(paths, journal_path, **kw):
     kw.setdefault("workers", 2)
     outcomes = exps.run_circuit_sweep(
-        paths, journal_path, n_patterns=N_PATTERNS, fabric=True, **kw
+        paths, journal_path, n_patterns=N_PATTERNS, **kw
     )
     return [asdict(o) for o in outcomes]
 
 
 class TestBitIdentity:
-    def test_no_chaos(self, tmp_path, bench_paths, commit_counts):
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+    def test_no_chaos(
+        self, tmp_path, bench_paths, commit_counts, reference_sweep
+    ):
+        serial = reference_sweep(bench_paths, N_PATTERNS)
         fabric = _fabric(bench_paths, tmp_path / "fabric.journal")
         assert fabric == serial
         counts = commit_counts(tmp_path / "fabric.journal")
         assert len(counts) == len(bench_paths)
         assert set(counts.values()) == {1}
 
-    def test_structural_dedup(self, tmp_path, bench_paths, counters):
+    def test_structural_dedup(
+        self, tmp_path, bench_paths, counters, reference_sweep
+    ):
         # A byte-for-byte copy has the same structural hash: one job,
         # one commit, two outcomes (rehydrated per path).
         clone = bench_paths[0].with_name("clone.bench")
         shutil.copyfile(bench_paths[0], clone)
         paths = list(bench_paths) + [clone]
-        serial = _serial(paths, tmp_path / "serial.jsonl")
+        serial = reference_sweep(paths, N_PATTERNS)
         with counters() as ctrs:
             fabric = _fabric(paths, tmp_path / "fabric.journal")
         assert fabric == serial
@@ -82,10 +79,11 @@ class TestChaos:
         ["crash", "stall", "corrupt", "spurious", "enospc", "duplicate"],
     )
     def test_forced_fault_is_invisible_in_results(
-        self, tmp_path, bench_paths, commit_counts, counters, mode
+        self, tmp_path, bench_paths, commit_counts, counters, mode,
+        reference_sweep,
     ):
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
-        chaos = FabricChaosSpec(
+        serial = reference_sweep(bench_paths, N_PATTERNS)
+        chaos = ChaosSpec(
             seed=7, forced=((1, mode),), stall_seconds=2.5
         )
         journal = tmp_path / "fabric.journal"
@@ -109,10 +107,10 @@ class TestChaos:
             assert ctrs.value("fabric.duplicates_rejected") >= 1
 
     def test_probabilistic_mix_converges(
-        self, tmp_path, bench_paths, commit_counts
+        self, tmp_path, bench_paths, commit_counts, reference_sweep
     ):
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
-        chaos = FabricChaosSpec(
+        serial = reference_sweep(bench_paths, N_PATTERNS)
+        chaos = ChaosSpec(
             seed=3,
             crash=0.2,
             corrupt=0.2,
@@ -128,11 +126,11 @@ class TestChaos:
 
 class TestQuarantine:
     def test_poison_job_is_quarantined_with_artifact(
-        self, tmp_path, bench_paths, counters
+        self, tmp_path, bench_paths, counters, reference_sweep
     ):
         # first_attempt_only=False: job 1 raises on *every* attempt —
         # genuine poison, not a transient.
-        chaos = FabricChaosSpec(
+        chaos = ChaosSpec(
             forced=((1, "spurious"),), first_attempt_only=False
         )
         journal = tmp_path / "fabric.journal"
@@ -150,7 +148,7 @@ class TestQuarantine:
         artifacts = list(qdir.glob("*/job.json"))
         assert len(artifacts) == 1
         # Healthy jobs match what serial would have produced.
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        serial = reference_sweep(bench_paths, N_PATTERNS)
         assert good == [
             s for s in serial if s["circuit"] != bench_paths[1].stem
         ]
@@ -158,7 +156,7 @@ class TestQuarantine:
     def test_resume_never_retries_poison(
         self, tmp_path, bench_paths, counters
     ):
-        chaos = FabricChaosSpec(
+        chaos = ChaosSpec(
             forced=((1, "spurious"),), first_attempt_only=False
         )
         journal = tmp_path / "fabric.journal"
@@ -172,14 +170,14 @@ class TestQuarantine:
 
 class TestBreaker:
     def test_cascading_crashes_degrade_to_serial(
-        self, tmp_path, bench_paths, commit_counts, counters
+        self, tmp_path, bench_paths, commit_counts, counters, reference_sweep
     ):
         # Jobs 0 and 1 crash their worker on every pool attempt; after
         # the respawn also breaks, the breaker trips and the campaign
         # drains in-process — where there is no worker to kill, so the
         # exact same results land anyway.
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
-        chaos = FabricChaosSpec(
+        serial = reference_sweep(bench_paths, N_PATTERNS)
+        chaos = ChaosSpec(
             forced=((0, "crash"), (1, "crash")), first_attempt_only=False
         )
         journal = tmp_path / "fabric.journal"
@@ -201,23 +199,19 @@ class TestExperimentsOnFabric:
         monkeypatch.setattr(
             exps, "experiment_runners", lambda: {"t1": FakeResult}
         )
-        # workers=1 keeps execution in-process so the monkeypatch holds.
+        # The default workers=1 runs in-process, so the monkeypatch holds.
         journal = tmp_path / "exps.journal"
-        records = exps.run_experiments_checkpointed(
-            ["t1"], journal, fabric=True, workers=1
-        )
+        records = exps.run_experiments_checkpointed(["t1"], journal)
         assert records == [
             {"experiment": "t1", "status": "ok", "rendered": "TABLE t1"}
         ]
-        again = exps.run_experiments_checkpointed(
-            ["t1"], journal, fabric=True, workers=1
-        )
+        again = exps.run_experiments_checkpointed(["t1"], journal)
         assert again == records
 
 
 class TestInterrupt:
     def test_interrupt_raises_resumable_and_journal_survives(
-        self, tmp_path, bench_paths
+        self, tmp_path, bench_paths, reference_sweep
     ):
         stop = GracefulInterrupt(install=False)
         stop.request("SIGTERM")
@@ -226,6 +220,6 @@ class TestInterrupt:
             _fabric(bench_paths, journal, workers=1, interrupt=stop)
         # Rerunning without the stop request completes the campaign and
         # is still bit-identical to serial.
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        serial = reference_sweep(bench_paths, N_PATTERNS)
         fabric = _fabric(bench_paths, journal, workers=1)
         assert fabric == serial

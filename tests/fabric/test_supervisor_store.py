@@ -19,41 +19,25 @@ import pytest
 from repro.analysis import experiments as exps
 from repro.errors import DivergenceError
 from repro.fabric.store import ResultStore, payload_digest
-from repro.resilience.chaos import FabricChaosSpec
+from repro.resilience.chaos import ChaosSpec
 
 N_PATTERNS = 64
-
-
-def _serial(paths, results_path):
-    outcomes = exps.run_circuit_sweep(
-        paths, results_path, n_patterns=N_PATTERNS
-    )
-    return [asdict(o) for o in outcomes]
 
 
 def _fabric(paths, journal_path, **kw):
     kw.setdefault("workers", 2)
     kw.setdefault("store_verify_fraction", 0.0)
     outcomes = exps.run_circuit_sweep(
-        paths, journal_path, n_patterns=N_PATTERNS, fabric=True, **kw
+        paths, journal_path, n_patterns=N_PATTERNS, **kw
     )
     return [asdict(o) for o in outcomes]
 
 
 class TestStoreCampaign:
-    def test_store_requires_fabric(self, tmp_path, bench_paths):
-        with pytest.raises(ValueError, match="fabric"):
-            exps.run_circuit_sweep(
-                bench_paths,
-                tmp_path / "serial.jsonl",
-                n_patterns=N_PATTERNS,
-                store=tmp_path / "store",
-            )
-
     def test_first_campaign_publishes_and_matches_serial(
-        self, tmp_path, bench_paths, counters, commit_counts
+        self, tmp_path, bench_paths, counters, commit_counts, reference_sweep
     ):
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        serial = reference_sweep(bench_paths, N_PATTERNS)
         store = tmp_path / "store"
         with counters() as ctrs:
             fabric = _fabric(
@@ -67,9 +51,9 @@ class TestStoreCampaign:
         assert set(counts.values()) == {1}
 
     def test_second_campaign_all_hits_zero_recomputation(
-        self, tmp_path, bench_paths, counters, commit_counts
+        self, tmp_path, bench_paths, counters, commit_counts, reference_sweep
     ):
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        serial = reference_sweep(bench_paths, N_PATTERNS)
         store = tmp_path / "store"
         _fabric(bench_paths, tmp_path / "run1.journal", store=store)
         with counters() as ctrs:
@@ -109,9 +93,9 @@ class TestStoreCampaign:
 
 class TestShadowVerification:
     def test_honest_hits_survive_full_verification(
-        self, tmp_path, bench_paths, counters
+        self, tmp_path, bench_paths, counters, reference_sweep
     ):
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        serial = reference_sweep(bench_paths, N_PATTERNS)
         store = tmp_path / "store"
         _fabric(bench_paths, tmp_path / "run1.journal", store=store)
         with counters() as ctrs:
@@ -168,11 +152,12 @@ class TestStoreChaos:
         "fault", ["store_torn", "store_bitflip", "store_stale", "store_double"]
     )
     def test_forced_store_fault_is_invisible_in_results(
-        self, tmp_path, bench_paths, commit_counts, counters, fault
+        self, tmp_path, bench_paths, commit_counts, counters, fault,
+        reference_sweep,
     ):
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        serial = reference_sweep(bench_paths, N_PATTERNS)
         store = tmp_path / "store"
-        chaos = FabricChaosSpec(seed=7, forced=((1, fault),))
+        chaos = ChaosSpec(seed=7, forced=((1, fault),))
         first = _fabric(
             bench_paths,
             tmp_path / "run1.journal",
@@ -205,11 +190,11 @@ class TestStoreChaos:
         assert len(corpses) == expected_corrupt
 
     def test_store_mix_with_worker_faults_converges(
-        self, tmp_path, bench_paths, commit_counts
+        self, tmp_path, bench_paths, commit_counts, reference_sweep
     ):
-        serial = _serial(bench_paths, tmp_path / "serial.jsonl")
+        serial = reference_sweep(bench_paths, N_PATTERNS)
         store = tmp_path / "store"
-        chaos = FabricChaosSpec(
+        chaos = ChaosSpec(
             seed=3,
             crash=0.15,
             corrupt=0.15,
@@ -244,7 +229,7 @@ class TestExperimentsStore:
         )
         store = tmp_path / "store"
         records = exps.run_experiments_checkpointed(
-            ["t1"], tmp_path / "run1.journal", fabric=True, workers=1,
+            ["t1"], tmp_path / "run1.journal",
             store=store, store_verify_fraction=0.0,
         )
         assert records == [
@@ -253,15 +238,9 @@ class TestExperimentsStore:
         assert calls["n"] == 1
         with counters() as ctrs:
             again = exps.run_experiments_checkpointed(
-                ["t1"], tmp_path / "run2.journal", fabric=True, workers=1,
+                ["t1"], tmp_path / "run2.journal",
                 store=store, store_verify_fraction=0.0,
             )
         assert again == records
         assert calls["n"] == 1, "cached experiment was recomputed"
         assert ctrs.value("fabric.store.hits") == 1
-
-    def test_store_requires_fabric(self, tmp_path):
-        with pytest.raises(ValueError, match="fabric"):
-            exps.run_experiments_checkpointed(
-                ["t1"], tmp_path / "run.jsonl", store=tmp_path / "store"
-            )

@@ -69,34 +69,34 @@ class TestGracefulInterrupt:
 
 class TestSweepBoundaryStop:
     def test_serial_sweep_stops_after_flushed_item_and_resumes(
-        self, tmp_path, bench_paths
+        self, tmp_path, bench_paths, monkeypatch
     ):
-        results = tmp_path / "results.jsonl"
+        results = tmp_path / "results.journal"
+        stop = GracefulInterrupt(install=False)
+        solve = exps._sweep_one
 
-        class StopAfterFirst(GracefulInterrupt):
-            def check(self, completed=0, remaining=0):
-                if completed >= 1:
-                    self.request("SIGTERM")
-                super().check(completed, remaining)
+        def solve_then_signal(*args, **kwargs):
+            outcome = solve(*args, **kwargs)
+            stop.request("SIGTERM")  # arrives while the first item runs
+            return outcome
 
+        monkeypatch.setattr(exps, "_sweep_one", solve_then_signal)
         with pytest.raises(SweepInterrupted) as ei:
             exps.run_circuit_sweep(
-                bench_paths,
-                results,
-                n_patterns=64,
-                interrupt=StopAfterFirst(install=False),
+                bench_paths, results, n_patterns=64, interrupt=stop
             )
+        monkeypatch.undo()
         assert ei.value.completed == 1
-        # The interrupted item was flushed before the raise.
+        # The interrupted item was committed before the raise.
         lines = results.read_text().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["circuit"] == bench_paths[0].stem
+        assert json.loads(lines[0])["type"] == "commit"
 
         # Rerunning the same command finishes the campaign.
         outcomes = exps.run_circuit_sweep(
             bench_paths, results, n_patterns=64
         )
-        assert len(outcomes) == len(bench_paths)
+        assert [o.circuit for o in outcomes] == [p.stem for p in bench_paths]
         assert len(results.read_text().splitlines()) == len(bench_paths)
 
 

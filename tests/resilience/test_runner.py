@@ -1,6 +1,7 @@
-"""Crash-isolated, checkpointed, resumable sweep + experiment drivers."""
+"""Crash-isolated, journaled, resumable sweep + experiment runners."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.analysis.experiments import (
     run_experiments_checkpointed,
 )
 from repro.errors import ExperimentError
+from repro.ioutil import read_jsonl_tolerant
 from repro.resilience import Budget
 
 
@@ -24,9 +26,14 @@ def _records(results_path):
     ]
 
 
+def _commits(results_path):
+    records, _good, _torn = read_jsonl_tolerant(results_path)
+    return [r for r in records if r["type"] == "commit"]
+
+
 class TestCrashIsolation:
     def test_corrupt_circuit_recorded_not_raised(self, circuit_dir, tmp_path):
-        results = tmp_path / "results.jsonl"
+        results = tmp_path / "results.journal"
         outcomes = run_circuit_sweep(
             _paths(circuit_dir), results, n_patterns=64
         )
@@ -36,11 +43,11 @@ class TestCrashIsolation:
         assert bad.status == "parse_error"
         assert bad.error_type == "ParseError"
         assert "ghost" in bad.error
-        # every outcome checkpointed as one JSONL line
-        assert len(_records(results)) == 3
+        # every outcome committed to the journal as one record
+        assert len(_commits(results)) == 3
 
     def test_budget_exhaustion_recorded(self, circuit_dir, tmp_path):
-        results = tmp_path / "results.jsonl"
+        results = tmp_path / "results.journal"
         outcomes = run_circuit_sweep(
             _paths(circuit_dir),
             results,
@@ -56,7 +63,7 @@ class TestCrashIsolation:
     def test_fallback_rescues_budgeted_circuits(self, circuit_dir, tmp_path):
         outcomes = run_circuit_sweep(
             _paths(circuit_dir),
-            tmp_path / "results.jsonl",
+            tmp_path / "results.journal",
             n_patterns=64,
             budget=Budget(max_dp_cells=1),  # full dp→greedy→random cascade
         )
@@ -73,11 +80,11 @@ class TestResume:
         paths = _paths(circuit_dir)
 
         # Uninterrupted reference run.
-        ref_results = tmp_path / "ref.jsonl"
-        run_circuit_sweep(paths, ref_results, n_patterns=64)
+        ref_results = tmp_path / "ref.journal"
+        reference = run_circuit_sweep(paths, ref_results, n_patterns=64)
 
         # Simulated kill after one circuit, then resume.
-        results = tmp_path / "resumed.jsonl"
+        results = tmp_path / "resumed.journal"
         first = run_circuit_sweep(
             paths, results, n_patterns=64, max_circuits=1
         )
@@ -86,9 +93,10 @@ class TestResume:
         assert len(second) == len(paths)
 
         assert _records(results) == _records(ref_results)
+        assert [asdict(o) for o in second] == [asdict(o) for o in reference]
 
     def test_resume_skips_completed_circuits(self, circuit_dir, tmp_path):
-        results = tmp_path / "results.jsonl"
+        results = tmp_path / "results.journal"
         run_circuit_sweep(_paths(circuit_dir), results, n_patterns=64)
         before = results.read_text()
         outcomes = run_circuit_sweep(
@@ -98,28 +106,39 @@ class TestResume:
         assert len(outcomes) == 3
 
     def test_torn_final_line_tolerated(self, circuit_dir, tmp_path):
-        results = tmp_path / "results.jsonl"
+        results = tmp_path / "results.journal"
         run_circuit_sweep(
             _paths(circuit_dir), results, n_patterns=64, max_circuits=1
         )
         with results.open("a") as f:
-            f.write('{"circuit": "c17", "status": "o')  # killed mid-write
+            f.write('{"type": "commit", "job_id": "x", "re')  # torn write
         outcomes = run_circuit_sweep(
             _paths(circuit_dir), results, n_patterns=64
         )
         assert {o.circuit for o in outcomes} == {"a_wand4", "c17", "corrupt"}
+        assert len(_commits(results)) == 3
 
-    def test_no_resume_reruns_everything(self, circuit_dir, tmp_path):
-        results = tmp_path / "results.jsonl"
-        run_circuit_sweep(_paths(circuit_dir), results, n_patterns=64)
-        run_circuit_sweep(
-            _paths(circuit_dir), results, n_patterns=64, resume=False
-        )
-        assert len(_records(results)) == 6  # appended a second full pass
+    def test_corrupt_record_reruns_only_its_circuit(
+        self, circuit_dir, tmp_path
+    ):
+        results = tmp_path / "results.journal"
+        paths = _paths(circuit_dir)
+        first = run_circuit_sweep(paths, results, n_patterns=64)
+        lines = results.read_text().splitlines()
+        lines[0] = lines[0][: len(lines[0]) // 2]  # corrupt the FIRST record
+        results.write_text("\n".join(lines) + "\n")
+        second = run_circuit_sweep(paths, results, n_patterns=64)
+        assert second == first
+        # The two intact records were reused; only the lost one re-ran.
+        commits = _commits(results)
+        assert len(commits) == 3
+        assert len({c["job_id"] for c in commits}) == 3
+        assert len(results.read_text().splitlines()) == 4
 
 
 class TestSweepOutcome:
     def test_round_trips_through_json(self):
+        # Journal commits and store entries hold outcomes as JSON.
         outcome = SweepOutcome(
             circuit="c17",
             path="x/c17.bench",
@@ -129,7 +148,8 @@ class TestSweepOutcome:
             n_points=2,
             fallbacks=0,
         )
-        assert SweepOutcome(**json.loads(outcome.to_json())) == outcome
+        decoded = json.loads(json.dumps(asdict(outcome)))
+        assert SweepOutcome(**decoded) == outcome
 
     def test_describe_mentions_failure(self):
         outcome = SweepOutcome(
@@ -156,7 +176,7 @@ class TestExperimentsCheckpointed:
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ExperimentError, match="unknown experiments"):
-            run_experiments_checkpointed(["zz"], tmp_path / "r.jsonl")
+            run_experiments_checkpointed(["zz"], tmp_path / "r.journal")
 
     def test_failure_isolated_and_rest_continue(self, tmp_path, monkeypatch):
         def boom():
@@ -164,7 +184,7 @@ class TestExperimentsCheckpointed:
 
         monkeypatch.setattr(exps, "run_t2_dp_optimality", boom)
         monkeypatch.setattr(exps, "run_f4_quantization_ablation", self._fake_f4)
-        results = tmp_path / "r.jsonl"
+        results = tmp_path / "r.journal"
         records = run_experiments_checkpointed(["t2", "f4"], results)
         assert [r["experiment"] for r in records] == ["t2", "f4"]
         assert records[0]["status"] == "error"
@@ -174,7 +194,7 @@ class TestExperimentsCheckpointed:
 
     def test_resume_does_not_rerun(self, tmp_path, monkeypatch):
         monkeypatch.setattr(exps, "run_f4_quantization_ablation", self._fake_f4)
-        results = tmp_path / "r.jsonl"
+        results = tmp_path / "r.journal"
         run_experiments_checkpointed(["f4"], results)
         before = results.read_text()
 

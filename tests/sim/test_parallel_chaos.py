@@ -56,7 +56,7 @@ class _Counters:
 
 class TestChaosSpec:
     def test_deterministic_action(self):
-        spec = ChaosSpec(seed=3, crash=0.25, hang=0.25)
+        spec = ChaosSpec(seed=3, crash=0.25, stall=0.25)
         actions = [spec.action(i, 0) for i in range(50)]
         assert actions == [spec.action(i, 0) for i in range(50)]
         assert any(actions)  # 50% total probability: some chunk is hit
@@ -68,7 +68,7 @@ class TestChaosSpec:
 
     def test_probabilities_validated(self):
         with pytest.raises(ValueError):
-            ChaosSpec(crash=0.7, hang=0.7)
+            ChaosSpec(crash=0.7, stall=0.7)
 
     def test_forced_action_validated(self):
         with pytest.raises(ValueError):
@@ -81,7 +81,7 @@ class TestCrashAndHang:
         circuit, stimulus, n = _workload(seed=0)
         serial = _serial(circuit, stimulus, n)
         chaos = ChaosSpec(
-            seed=0, forced=((0, "crash"), (1, "hang")), hang_seconds=5.0
+            seed=0, forced=((0, "crash"), (1, "stall")), stall_seconds=5.0
         )
         with _Counters() as counters:
             parallel = run_parallel(
@@ -138,7 +138,7 @@ class TestCorruptAndSpurious:
         chaos = ChaosSpec(
             seed=11,
             forced=((0, "crash"), (1, "corrupt"), (2, "spurious")),
-            hang_seconds=5.0,
+            stall_seconds=5.0,
         )
         parallel = run_parallel(
             circuit, stimulus, n, jobs=3, chaos=chaos, chunk_timeout=2.0
@@ -176,7 +176,7 @@ class TestDegradation:
 
 class TestSweepSurvivesChaos:
     def test_sweep_checkpoint_intact_after_chaotic_coverage(self, tmp_path):
-        """A sweep using chaotic parallel coverage loses no checkpoint data."""
+        """A sweep using parallel coverage loses no journaled data."""
         from repro.analysis.experiments import run_circuit_sweep
         from repro.circuit.bench_io import write_bench
 
@@ -186,10 +186,14 @@ class TestSweepSurvivesChaos:
             p = tmp_path / f"c{i}.bench"
             p.write_text(write_bench(c))
             paths.append(p)
-        ckpt = tmp_path / "sweep.jsonl"
+        journal = tmp_path / "sweep.journal"
         outcomes = run_circuit_sweep(
-            paths, ckpt, n_patterns=64, measure_coverage=True, jobs=2
+            paths, journal, n_patterns=64, measure_coverage=True, jobs=2
         )
         assert all(o.ok for o in outcomes)
-        resumed = run_circuit_sweep(paths, ckpt, n_patterns=64)
-        assert [o.circuit for o in resumed] == [o.circuit for o in outcomes]
+        before = journal.read_bytes()
+        resumed = run_circuit_sweep(
+            paths, journal, n_patterns=64, measure_coverage=True
+        )
+        assert resumed == outcomes
+        assert journal.read_bytes() == before
